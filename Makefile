@@ -3,9 +3,9 @@
 GO ?= go
 BENCHTIME ?= 100ms
 
-.PHONY: check build test vet race bench benchsmoke servesmoke retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
+.PHONY: check build test vet race perfbench bench benchsmoke servesmoke retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
 
-check: vet build test race retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
+check: vet build test race perfbench retrysmoke servesmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
 
 build:
 	$(GO) build ./...
@@ -32,57 +32,34 @@ bench:
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# servesmoke boots permadeadd over a small universe, curls every
-# endpoint, and drives it with loadgen — zero 5xx required.
-servesmoke:
-	./scripts/service_smoke.sh
-
 # retrysmoke runs the retry-policy ablation over a fully flaky small
 # universe and fails unless the false-dead rate strictly decreases
 # single-GET -> retry -> confirmation (DESIGN.md 3.4).
 retrysmoke:
 	$(GO) run ./cmd/ablate -scale 0.06 -seed 1 -flaky 1 -flaky-rate 0.6 -smoke
 
-# batchsmoke drives zipf-skewed NDJSON batch load against a live
-# permadeadd twice (capture prefilter on and off) — zero 5xx and a p99
-# bound required — and records both runs in BENCH_PR6.json.
+# perfbench vets and tests the nested benchmark module, which the root
+# build and test do not reach.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The end-to-end smoke scenarios (cmd/smoke; each scenario's gates are
+# listed in its doc comment there):
+#   servesmoke   every endpoint once, two loadgen rounds, cache hits, zero 5xx
+#   batchsmoke   NDJSON batch load, prefilter on and off, p99 bound
+#   persistsmoke paged cold start, gob-vs-paged verdict identity, throughput parity
+#   streamsmoke  the monitor's SSE contract, journal on disk, SSE fan-out p99
+#   shardsmoke   fleet verdict parity, rebalance, degraded mode, >= 3x at 4 shards
+#   fedsmoke     federation byte parity, coverage gain, hedged p99, scenario grid
+servesmoke:
+	$(GO) run ./cmd/smoke serve
 batchsmoke:
-	./scripts/batch_smoke.sh
-
-# persistsmoke exercises the paged (format v4) universe store:
-# generate gob, convert with universeconv, cold-start permadeadd from
-# the paged file — startup budget, >= 50x cold-start speedup,
-# byte-identical /v1/classify verdicts vs the gob path, and batch
-# throughput parity all required. Records BENCH_PR7.json.
+	$(GO) run ./cmd/smoke batch
 persistsmoke:
-	./scripts/persist_smoke.sh
-
-# shardsmoke boots router+shard fleets at 1, 2, and 4 shards over one
-# paged universe and checks the fleet contracts: /v1/classify byte-
-# identical to a standalone server, scatter-gathered /v1/sample totals
-# matching, a killed shard degrading to flagged partials with
-# Retry-After (zero 5xx on healthy-shard traffic), a rebalance
-# handoff, and 4-shard classify throughput >= 3x the 1-shard figure.
-# Records per-fleet-size throughput and scatter p99 in BENCH_PR9.json.
-shardsmoke:
-	./scripts/shard_smoke.sh
-
-# fedsmoke boots federation-less, single-member-federation, and
-# 3-member-federation permadeadd servers over one paged universe and
-# checks the federation contracts: single-member responses byte-
-# identical to the bare archive, usable coverage strictly increased by
-# the skewed secondaries, hedged availability p99 <= 2x the single-
-# archive p99, zero 5xx with one archive member killed (degraded
-# coverage surfaced, not failure), and the per-scenario x per-policy
-# false-dead grid in its expected shape. Records availability
-# throughput and the grid in BENCH_PR10.json.
-fedsmoke:
-	./scripts/fed_smoke.sh
-
-# streamsmoke exercises the continuous verdict monitor against a live
-# permadeadd over a fully flaky universe: exactly-once SSE delivery,
-# Last-Event-ID resume, suspect flagging, IABot repairs landing in
-# wikitext, and a non-empty on-disk journal — then benches SSE fan-out
-# with loadgen's stream workload into BENCH_PR8.json.
+	$(GO) run ./cmd/smoke persist
 streamsmoke:
-	./scripts/stream_smoke.sh
+	$(GO) run ./cmd/smoke stream
+shardsmoke:
+	$(GO) run ./cmd/smoke shard
+fedsmoke:
+	$(GO) run ./cmd/smoke fed

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -190,6 +191,55 @@ func TestMergedSnapshotsGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(again, got) {
 			t.Fatalf("merge not deterministic on run %d", i)
+		}
+	}
+}
+
+// queryPair asks a two-member federation (1s budget, hedge at 25%)
+// for url's usable capture nearest day 45.
+func queryPair(t *testing.T, primary, secondary MemberSpec, url string) (Result, error) {
+	t.Helper()
+	fed, err := New(testBase(), Manifest{BudgetMS: 1000, HedgeFraction: 0.25, Members: []MemberSpec{primary, secondary}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fed.Query(context.Background(), archive.AvailabilityQuery{
+		URL: url, Want: d(45), Accept: archive.AcceptUsable,
+	})
+}
+
+// TestQueryPriority: a primary that answers before the hedge deadline
+// wins with no member errors, even when the secondary holds a copy.
+func TestQueryPriority(t *testing.T) {
+	res, err := queryPair(t, MemberSpec{Name: "wayback"}, MemberSpec{Name: "mirror", LatencyMS: 40}, "http://alive.simtest/p")
+	if err != nil || !res.Found || res.Member != "wayback" || len(res.MemberErrors) != 0 {
+		t.Errorf("result %+v, err %v", res, err)
+	}
+}
+
+// TestQueryFallsThroughToSecondary: a primary holding nothing falls
+// through to the secondary; the primary's miss is not an error.
+func TestQueryFallsThroughToSecondary(t *testing.T) {
+	res, err := queryPair(t, MemberSpec{Name: "wayback", Coverage: 0.0001, Seed: 3}, MemberSpec{Name: "mirror", LatencyMS: 40}, "http://alive.simtest/p")
+	if err != nil || !res.Found || res.Member != "mirror" || len(res.MemberErrors) != 0 {
+		t.Errorf("result %+v, err %v", res, err)
+	}
+}
+
+// TestQueryTimeoutPropagates: when every member is over budget the
+// lookup fails with ErrAvailabilityTimeout, each member's timeout
+// surfaced.
+func TestQueryTimeoutPropagates(t *testing.T) {
+	res, err := queryPair(t, MemberSpec{Name: "wayback"}, MemberSpec{Name: "mirror", LatencyMS: 5000}, "http://slow.simtest/p")
+	if !errors.Is(err, archive.ErrAvailabilityTimeout) {
+		t.Errorf("err = %v, want ErrAvailabilityTimeout", err)
+	}
+	if res.Found || res.Member != "" || len(res.MemberErrors) != 2 {
+		t.Errorf("result %+v", res)
+	}
+	for _, me := range res.MemberErrors {
+		if !errors.Is(me, archive.ErrAvailabilityTimeout) {
+			t.Errorf("member error %v is not a timeout", me)
 		}
 	}
 }

@@ -473,9 +473,9 @@ func (p *pagedStore) LoadSite(hostname string) *simweb.Site {
 			Mode:          simweb.FaultMode(rdU32(b, off+8)),
 			Rate:          rdF64(b, off+12),
 			RetryAfterSec: rdI32(b, off+20),
-			Seed:          rdU64(b, off+24),
+			Seed:          rdU64(b, off+28), // a u32 pad sits at off+24
 		})
-		off += 32
+		off += 36
 	}
 
 	nPages := int(rdU32(b, off))

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -156,29 +158,50 @@ func TestFaultWindowsRoundTrip(t *testing.T) {
 	if err := Save(&buf, FromUniverse(u)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Load(&buf)
+	gobBundle, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSites, gotWindows := count(b.World)
-	if gotSites != origSites || gotWindows != origWindows {
-		t.Fatalf("faults: %d sites/%d windows vs %d/%d", gotSites, gotWindows, origSites, origWindows)
+	// The paged (v4) store decodes fault windows lazily, on the first
+	// touch of each flaky site.
+	path := filepath.Join(t.TempDir(), "u.pduniv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := SavePaged(f, FromUniverse(u)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenPaged(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
 
-	// Window contents survive exactly — fault schedules are seed-pure,
-	// so any field drift would change measured outcomes.
-	for _, host := range u.World.Hostnames() {
-		a, z := u.World.Site(host), b.World.Site(host)
-		if len(a.Faults) != len(z.Faults) {
-			t.Fatalf("%s: %d vs %d windows", host, len(a.Faults), len(z.Faults))
+	for name, b := range map[string]*Bundle{"gob": gobBundle, "paged": paged} {
+		gotSites, gotWindows := count(b.World)
+		if gotSites != origSites || gotWindows != origWindows {
+			t.Fatalf("%s faults: %d sites/%d windows vs %d/%d", name, gotSites, gotWindows, origSites, origWindows)
 		}
-		for i := range a.Faults {
-			if a.Faults[i] != z.Faults[i] {
-				t.Fatalf("%s window %d: %+v vs %+v", host, i, a.Faults[i], z.Faults[i])
+
+		// Window contents survive exactly — fault schedules are seed-pure,
+		// so any field drift would change measured outcomes.
+		for _, host := range u.World.Hostnames() {
+			a, z := u.World.Site(host), b.World.Site(host)
+			if len(a.Faults) != len(z.Faults) {
+				t.Fatalf("%s %s: %d vs %d windows", name, host, len(a.Faults), len(z.Faults))
+			}
+			for i := range a.Faults {
+				if a.Faults[i] != z.Faults[i] {
+					t.Fatalf("%s %s window %d: %+v vs %+v", name, host, i, a.Faults[i], z.Faults[i])
+				}
 			}
 		}
-	}
-	if b.Params.FlakySiteFrac != p.FlakySiteFrac || b.Params.FlakyRate != p.FlakyRate {
-		t.Errorf("flaky params lost: %+v", b.Params)
+		if b.Params.FlakySiteFrac != p.FlakySiteFrac || b.Params.FlakyRate != p.FlakyRate {
+			t.Errorf("%s flaky params lost: %+v", name, b.Params)
+		}
 	}
 }

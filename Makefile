@@ -3,9 +3,9 @@
 GO ?= go
 BENCHTIME ?= 100ms
 
-.PHONY: check build test vet race perfbench bench benchsmoke servesmoke retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
+.PHONY: check build test vet race fuzz perfbench bench benchsmoke servesmoke retrysmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
 
-check: vet build test race perfbench retrysmoke servesmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
+check: vet build test race fuzz perfbench retrysmoke servesmoke batchsmoke persistsmoke streamsmoke shardsmoke fedsmoke
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs the two differential fuzz targets for 10 s each (go test
+# -fuzz takes one target per run): the k <= 1 edit-distance fast paths
+# against the DP, and the exact typo probe against brute force.
+fuzz:
+	$(GO) test -run=NONE -fuzz='^FuzzEditDistance$$' -fuzztime=10s ./internal/urlutil
+	$(GO) test -run=NONE -fuzz='^FuzzDomainNeighbors$$' -fuzztime=10s ./internal/archive
 
 # bench runs the archive and analysis benchmarks and records the
 # results (name -> ns/op, B/op, allocs/op) in BENCH_PR2.json via

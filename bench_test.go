@@ -14,6 +14,8 @@ package permadead
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +23,7 @@ import (
 	"permadead/internal/ablation"
 	"permadead/internal/core"
 	"permadead/internal/fetch"
+	"permadead/internal/persist"
 	"permadead/internal/shingle"
 	"permadead/internal/simweb"
 	"permadead/internal/softerror"
@@ -287,6 +290,45 @@ func BenchmarkSection52(b *testing.B) {
 		r2.NoCopies = r.NoCopies
 		s.SpatialAnalysis(r2)
 		typos = r2.Typos
+	}
+	b.ReportMetric(float64(typos), "typos")
+}
+
+// BenchmarkSection52Paged runs the §5.2 stage on a fresh Study (cold
+// memo) over a SavePaged -> OpenPaged universe, the path
+// `deadlinkstudy -load` takes: the typo probe reads the mapped file,
+// with no warm memo or in-memory index in front of it.
+func BenchmarkSection52Paged(b *testing.B) {
+	u, s0, base := benchSetup(b)
+	pre := freshReport(s0, base)
+	s0.ArchiveAnalysis(pre)
+	s0.TemporalAnalysis(pre)
+	path := filepath.Join(b.TempDir(), "universe.pdu")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := persist.SavePaged(f, persist.FromUniverse(u)); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	bundle, err := persist.OpenPaged(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bundle.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var typos int
+	for i := 0; i < b.N; i++ {
+		s := &core.Study{Config: s0.Config, Wiki: bundle.Wiki, Arch: bundle.Archive}
+		r := freshReport(s, base)
+		r.Pre200 = pre.Pre200
+		r.NoCopies = pre.NoCopies
+		s.SpatialAnalysis(r)
+		typos = r.Typos
 	}
 	b.ReportMetric(float64(typos), "typos")
 }

@@ -79,10 +79,12 @@ type BulkRegion struct {
 	Seed uint64
 }
 
-// PathAt returns the i-th URL path in the region (0 <= i < Count).
+// PathAt returns the i-th URL path in the region (0 <= i < Count):
+// DirPrefix + "item-" + i zero-padded to six digits + "-" + four hex
+// digits of a seeded hash + ".html".
 func (r BulkRegion) PathAt(i int) string {
-	v := mix64(r.Seed + uint64(i)*0x9e3779b97f4a7c15)
-	return fmt.Sprintf("%sitem-%06d-%04x.html", r.DirPrefix, i, v&0xffff)
+	var buf [96]byte
+	return string(r.appendPath(buf[:0], i))
 }
 
 // DayAt returns the capture day of the i-th entry.

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -163,9 +164,11 @@ func appendBulk(out []CDXEntry, r BulkRegion, q CDXQuery, limit int) []CDXEntry 
 	if bulkMatchCount(r, q) == 0 {
 		return out
 	}
+	var buf [128]byte
 	for i := 0; i < r.Count && len(out) < limit; i++ {
+		url := r.appendMember(append(buf[:0], "http://"...), i)
 		out = append(out, CDXEntry{
-			URL:           "http://" + r.Host + r.PathAt(i),
+			URL:           string(url),
 			Day:           r.DayAt(i),
 			InitialStatus: 200,
 		})
@@ -230,21 +233,24 @@ func (a *Archive) countSelfScan(host, pathQuery string) int {
 
 // ArchivedURLsUnderDomain lists distinct archived URLs (any status)
 // across every indexed hostname belonging to the registrable domain,
-// up to limit. The §5.2 typo analysis compares a never-archived URL
-// against these.
+// up to limit. (The §5.2 typo probe itself needs no listing; see
+// DomainNeighbors.)
 func (a *Archive) ArchivedURLsUnderDomain(domain string, limit int) []string {
 	urls, _ := a.DomainURLs(domain, limit)
 	return urls
 }
 
 // DomainURLs is ArchivedURLsUnderDomain plus an explicit truncation
-// signal: truncated is true when the domain holds more distinct
-// archived URLs than limit, so callers (the typo probe's "no silent
-// caps" accounting) can tell an exhaustive scan from a capped one.
+// signal. urls are the domain's first limit distinct URLs in
+// enumeration order — hosts sorted, each host's rows as CDXList emits
+// them, repeat captures skipped — and truncated is true iff the domain
+// holds more than limit distinct URLs.
 func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated bool) {
 	if limit <= 0 {
 		limit = DefaultCDXLimit
 	}
+	// Bound the row-window arithmetic below away from overflow.
+	limit = min(limit, math.MaxInt32)
 	domain = strings.ToLower(domain)
 	var hosts []string
 	if a.store != nil {
@@ -267,16 +273,28 @@ func (a *Archive) DomainURLs(domain string, limit int) (urls []string, truncated
 	seen := make(map[string]struct{})
 	var out []string
 	for _, h := range hosts {
-		// Enumerate one row beyond the cap so truncation is detectable.
-		for _, e := range a.CDXList(CDXQuery{Host: h, Limit: limit + 1}) {
-			if _, dup := seen[e.URL]; dup {
-				continue
+		// Repeat captures take rows but add no URL, so the URLs still
+		// wanted (one past the cap, to detect truncation) can lie past
+		// that many rows: widen the row window until it yields them or
+		// covers the host. A wider window lists the narrower one's rows
+		// first, so only the new rows are read.
+		done := 0
+		for rows := limit + 1 - len(out); ; rows *= 2 {
+			list := a.CDXList(CDXQuery{Host: h, Limit: rows})
+			for _, e := range list[done:] {
+				if _, dup := seen[e.URL]; dup {
+					continue
+				}
+				seen[e.URL] = struct{}{}
+				if len(out) >= limit {
+					return out, true
+				}
+				out = append(out, e.URL)
 			}
-			seen[e.URL] = struct{}{}
-			if len(out) >= limit {
-				return out, true
+			if len(list) < rows {
+				break
 			}
-			out = append(out, e.URL)
+			done = len(list)
 		}
 	}
 	return out, false

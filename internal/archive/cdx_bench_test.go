@@ -138,8 +138,8 @@ func BenchmarkCDXCountSelf(b *testing.B) {
 	})
 }
 
-// BenchmarkDomainURLs is the §5.2 typo-probe enumeration: all
-// archived URLs under one registrable domain. The naive path derives
+// BenchmarkDomainURLs is the per-domain enumeration: all archived
+// URLs under one registrable domain. The naive path derives
 // the registrable domain of every host in the archive per call; the
 // indexed path probes the freeze-time domain → hosts map.
 func BenchmarkDomainURLs(b *testing.B) {

@@ -135,6 +135,21 @@ func (w *randomWorld) checkQueries(t *testing.T, rng *rand.Rand) {
 			t.Errorf("DomainURLs(%s, %d) = %v/%v, want %v/%v",
 				domain, limit, gotURLs, gotTrunc, wantURLs, wantTrunc)
 		}
+		// Both paths must also match the unlimited enumeration, or the
+		// comparison above only shows they share a bug.
+		checkDomainURLs(t, w.naive, domain, limit)
+	}
+	for i := 0; i < 20; i++ {
+		host := w.hosts[rng.Intn(len(w.hosts))]
+		target := editOnce(host+w.paths[rng.Intn(len(w.paths))], uint8(rng.Intn(4)), uint8(rng.Intn(256)), "az/0"[rng.Intn(4)])
+		domain := urlutil.DomainOfHost(host)
+		want := bruteNeighbors(w.naive, domain, target)
+		if got := w.naive.DomainNeighbors(domain, target); got != want {
+			t.Errorf("mutable DomainNeighbors(%s, %q) = %d, brute force %d", domain, target, got, want)
+		}
+		if got := w.frozen.DomainNeighbors(domain, target); got != want {
+			t.Errorf("frozen DomainNeighbors(%s, %q) = %d, brute force %d", domain, target, got, want)
+		}
 	}
 	for i := 0; i < 40; i++ {
 		host := w.hosts[rng.Intn(len(w.hosts))]
@@ -153,9 +168,9 @@ func (w *randomWorld) checkQueries(t *testing.T, rng *rand.Rand) {
 
 // TestFrozenIndexMatchesNaiveScan is the differential test: across
 // randomized generated worlds, the frozen indexed results must be
-// identical — row for row — to the naive-scan reference for all five
+// identical — row for row — to the naive-scan reference for all six
 // query kinds (CDXCount, CDXList, countSelf, DomainURLs,
-// FindQueryPermutation).
+// DomainNeighbors, FindQueryPermutation).
 func TestFrozenIndexMatchesNaiveScan(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {

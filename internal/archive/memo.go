@@ -12,9 +12,10 @@ import (
 // across links: CDX counts and listings (keyed by the full query) and
 // per-domain archived-URL enumerations (keyed by domain and limit).
 // The paper's 10,000 sampled links span only ~3,521 domains, so the
-// directory-, hostname- and domain-level scans behind Figure 6, the
-// typo probe, and the §4.2 sibling search hit the same CDX regions
-// thousands of times; the memo collapses those to one scan per key.
+// directory- and hostname-level scans behind Figure 6 and the §4.2
+// sibling search hit the same CDX regions thousands of times; the memo
+// collapses those to one scan per key. (The §5.2 typo probe reads the
+// archive directly: Archive.DomainNeighbors needs no enumeration.)
 //
 // Memo is safe for concurrent use. It assumes the underlying Archive
 // is quiescent (ideally Frozen) for its lifetime: cached entries are

@@ -41,6 +41,10 @@ type Store interface {
 	// DomainHosts returns the sorted hostnames under a registrable
 	// domain.
 	DomainHosts(domain string) []string
+	// DomainNeighbors answers Archive.DomainNeighbors (domain already
+	// lowercased), feeding each host's distinct explicit paths and
+	// bulk regions to a NeighborCounter.
+	DomainNeighbors(domain, target string) int
 
 	// LookupLatencyMS returns the availability-lookup latency override
 	// for a key, if one exists.

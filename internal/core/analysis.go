@@ -259,7 +259,6 @@ type spatialOutcome struct {
 	dir, host int
 	query     bool
 	typo      bool
-	truncated bool
 }
 
 // SpatialAnalysis performs §5.2 on the never-archived links: CDX
@@ -295,9 +294,6 @@ func (s *Study) SpatialAnalysis(r *Report) {
 			r.Typos++
 			r.TypoLinks = append(r.TypoLinks, r.NoCopies[k])
 		}
-		if o.truncated {
-			r.TypoScanTruncated++
-		}
 	}
 	r.DirCounts = stats.NewCDFInts(dirCounts)
 	r.HostCounts = stats.NewCDFInts(hostCounts)
@@ -311,47 +307,21 @@ func (s *Study) spatialOutcomeFor(rec *LinkRecord) spatialOutcome {
 	o.dir = memo.CountInDirectory(rec.URL)
 	o.host = memo.CountOnHostname(rec.URL)
 	o.query = urlutil.HasQuery(rec.URL)
-	o.typo, o.truncated = s.isTypo(rec.URL)
+	o.typo = s.isTypo(rec.URL)
 	return o
 }
 
-// typoScanLimit bounds the per-domain archived-URL enumeration the
-// typo probe compares against. Domains exceeding it are counted in
-// Report.TypoScanTruncated rather than silently clipped.
-const typoScanLimit = 4000
-
 // isTypo applies the §5.2 methodology: the dead URL is deemed a
 // potential typo iff exactly one archived URL under the same domain
-// has edit distance exactly 1. The second return reports whether the
-// domain scan hit typoScanLimit (so large domains can be surfaced
-// instead of silently misclassified).
-func (s *Study) isTypo(url string) (typo, truncated bool) {
+// has edit distance exactly 1. URLs compare without their scheme, so
+// an http/https variant of the link sits at distance 0, not 1. The
+// count is exact over the whole domain (archive.DomainNeighbors).
+func (s *Study) isTypo(url string) bool {
 	domain := urlutil.Domain(url)
 	if domain == "" {
-		return false, false
+		return false
 	}
-	cands, truncated := s.Memo().DomainURLs(domain, typoScanLimit)
-	self := stripScheme(url)
-	matches := 0
-	for _, cand := range cands {
-		if cand == url {
-			continue
-		}
-		sc := stripScheme(cand)
-		if sc == self {
-			// Distance 0: an http/https/www variant, not a typo.
-			continue
-		}
-		// Distance <= 1 and != 0 is exactly 1 — one bounded
-		// edit-distance computation per candidate.
-		if urlutil.EditDistanceAtMost(sc, self, 1) {
-			matches++
-			if matches > 1 {
-				return false, truncated
-			}
-		}
-	}
-	return matches == 1, truncated
+	return s.Arch.DomainNeighbors(domain, stripScheme(url)) == 1
 }
 
 // stripScheme drops the scheme so http/https variants of the same URL

@@ -137,9 +137,6 @@ type SpatialStatus struct {
 	// Typo: exactly one archived URL under the domain at edit
 	// distance 1.
 	Typo bool `json:"typo"`
-	// TypoScanTruncated: the domain enumeration hit its cap, so a typo
-	// could have been missed.
-	TypoScanTruncated bool `json:"typo_scan_truncated,omitempty"`
 }
 
 // Transient reports whether this live measurement went through a
@@ -263,7 +260,6 @@ func (s *Study) ClassifyLink(ctx context.Context, rec LinkRecord) (Classificatio
 			DirectoryCoverage: so.dir,
 			HostnameCoverage:  so.host,
 			Typo:              so.typo,
-			TypoScanTruncated: so.truncated,
 		}
 		typo = so.typo
 	}

@@ -127,17 +127,19 @@ func TestSnapshotErroneousEdgeCases(t *testing.T) {
 	}
 }
 
-// TestTypoScanTruncationSurfaced checks the "no silent caps" counter:
-// a domain holding more archived URLs than the typo-scan cap must be
-// reported, not silently clipped.
+// TestTypoScanTruncationSurfaced checks the "no silent caps" counter
+// and its table row: the row appears exactly when the counter is
+// non-zero.
 func TestTypoScanTruncationSurfaced(t *testing.T) {
 	u, r := runStudy(t)
 	_ = u
 	if r.TypoScanTruncated < 0 {
 		t.Fatalf("negative truncation counter: %d", r.TypoScanTruncated)
 	}
-	// The small universe stays under the 4000-URL cap, so the baseline
-	// run must report zero truncation and omit the table row.
+	// The typo probe counts edit-distance-1 neighbours over the whole
+	// domain with no enumeration cap, so no run truncates (the small
+	// universe does hold domains above the old 4000-URL cap): the
+	// counter is zero and the table row is omitted.
 	if r.TypoScanTruncated != 0 {
 		t.Errorf("small universe truncated %d typo scans", r.TypoScanTruncated)
 	}

@@ -55,10 +55,11 @@ type Report struct {
 	ZeroHost        int        // paper: 256
 	Typos           int        // paper: 219
 	QueryParamLinks int
-	// TypoScanTruncated counts links whose typo probe hit the
-	// per-domain enumeration cap — those domains hold more archived
-	// URLs than the scan compared against, so a typo there could be
-	// missed. Surfaced rather than silently clipped.
+	// TypoScanTruncated counted links whose typo probe hit a
+	// per-domain enumeration cap. The probe is now exact over the whole
+	// domain (archive.DomainNeighbors), so it is always 0; the field
+	// and its table row (shown only when non-zero) remain for readers
+	// of the report.
 	TypoScanTruncated int
 	// TypoLinks are the indices (into Records) of the potential typos,
 	// a subset of NoCopies in NoCopies order.

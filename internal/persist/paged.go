@@ -324,7 +324,9 @@ func (p *pagedStore) FindQueryPermutation(host, want, self string) (string, bool
 	return "", false
 }
 
-func (p *pagedStore) DomainHosts(domain string) []string {
+// domainRecs returns the cdxhosts record numbers under a registrable
+// domain, in hostname order.
+func (p *pagedStore) domainRecs(domain string) []int {
 	b := p.sec[secDomains]
 	at := func(i int) string {
 		return p.str(rdU32(b, p.domTable+16*i), rdU32(b, p.domTable+16*i+4))
@@ -335,11 +337,47 @@ func (p *pagedStore) DomainHosts(domain string) []string {
 	}
 	start := int(rdU32(b, p.domTable+16*i+8))
 	count := int(rdU32(b, p.domTable+16*i+12))
-	hosts := make([]string, count)
-	for j := 0; j < count; j++ {
-		hosts[j] = p.hostAt(int(rdU32(b, p.domIdx+4*(start+j))))
+	recs := make([]int, count)
+	for j := range recs {
+		recs[j] = int(rdU32(b, p.domIdx+4*(start+j)))
+	}
+	return recs
+}
+
+func (p *pagedStore) DomainHosts(domain string) []string {
+	recs := p.domainRecs(domain)
+	if recs == nil {
+		return nil
+	}
+	hosts := make([]string, len(recs))
+	for j, rec := range recs {
+		hosts[j] = p.hostAt(rec)
 	}
 	return hosts
+}
+
+// DomainNeighbors walks each host's path-sorted column, skipping repeat
+// captures, and its bulk records; no CDX row is built.
+func (p *pagedStore) DomainNeighbors(domain, target string) int {
+	c := archive.NewNeighborCounter(target)
+	for _, rec := range p.domainRecs(domain) {
+		host := p.hostAt(rec)
+		cols := p.cols(rec)
+		prev := ""
+		for pos := 0; pos < cols.n; pos++ {
+			path := cols.path(pos)
+			if pos > 0 && path == prev {
+				continue
+			}
+			prev = path
+			c.AddPath(host, path)
+		}
+		start, count := p.bulkRange(rec)
+		for i := start; i < start+count; i++ {
+			c.AddRegion(p.bulkAt(i, host))
+		}
+	}
+	return c.Count()
 }
 
 func (p *pagedStore) Hosts() []string {

@@ -117,11 +117,17 @@ func (pp *pagedPair) checkArchive(t *testing.T) {
 		domains[urlutil.DomainOfHost(h)] = true
 	}
 	for d := range domains {
-		for _, limit := range []int{5, 100} {
+		// The unlimited enumeration is the reference for both stores, so
+		// a cap bug they share cannot pass as agreement.
+		all := unlimitedDomainURLs(ma, d)
+		for _, limit := range []int{1, 5, 100} {
 			gotURLs, gotTrunc := pa.DomainURLs(d, limit)
 			wantURLs, wantTrunc := ma.DomainURLs(d, limit)
 			if gotTrunc != wantTrunc || !reflect.DeepEqual(gotURLs, wantURLs) {
 				t.Errorf("DomainURLs(%s, %d) differ", d, limit)
+			}
+			if ref := all[:min(limit, len(all))]; !reflect.DeepEqual(wantURLs, ref) || wantTrunc != (len(all) > limit) {
+				t.Errorf("DomainURLs(%s, %d) = %d URLs/%v, want the first %d of %d", d, limit, len(wantURLs), wantTrunc, len(ref), len(all))
 			}
 		}
 	}

@@ -67,6 +67,9 @@ func FuzzEditDistance(f *testing.F) {
 	f.Add("kitten", "sitting")
 	f.Add("", "abc")
 	f.Add("http://a/x", "http://a/y")
+	f.Add("aab", "ab")
+	f.Add("abcd", "acbd")
+	f.Add("h.com/item-000042-0f3a.html", "h.com/item-0000042-0f3a.html")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		d := EditDistance(a, b)
 		if d != EditDistance(b, a) {
@@ -84,6 +87,12 @@ func FuzzEditDistance(f *testing.F) {
 		}
 		if got := EditDistanceAtMost(a, b, d); !got {
 			t.Fatalf("EditDistanceAtMost(%q,%q,%d) = false", a, b, d)
+		}
+		// The k <= 1 fast paths must agree with the DP.
+		for k := 0; k <= 2; k++ {
+			if got, want := EditDistanceAtMost(a, b, k), d <= k; got != want {
+				t.Fatalf("EditDistanceAtMost(%q,%q,%d) = %v, DP distance %d", a, b, k, got, d)
+			}
 		}
 	})
 }

@@ -239,17 +239,44 @@ func EditDistance(a, b string) int {
 
 // EditDistanceAtMost reports whether EditDistance(a, b) <= k without
 // computing the full matrix when the strings' lengths already rule it
-// out. The spatial analysis compares a dead URL to every archived URL
-// under the same domain, so the early exit matters at scale.
+// out. k <= 1 — the §5.2 typo probe's question — is answered in
+// linear time with no allocation (see withinOneEdit).
 func EditDistanceAtMost(a, b string, k int) bool {
 	d := len(a) - len(b)
 	if d < 0 {
 		d = -d
 	}
-	if d > k {
+	switch {
+	case d > k:
 		return false
+	case k == 0:
+		return a == b
+	case k == 1:
+		return withinOneEdit(a, b)
 	}
 	return EditDistance(a, b) <= k
+}
+
+// withinOneEdit reports whether EditDistance(a, b) <= 1 in O(len)
+// time: strip the common prefix, then the common suffix of what is
+// left; at most one edit separates a and b iff both remainders are at
+// most one byte. (One substitution stops both strips at the same
+// byte; one insertion leaves the shorter string wholly a suffix of the
+// longer's remainder, since a longest common prefix never ends past
+// the inserted byte.)
+func withinOneEdit(a, b string) bool {
+	if d := len(a) - len(b); d > 1 || d < -1 {
+		return false
+	}
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	a, b = a[i:], b[i:]
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	return len(a) <= 1 && len(b) <= 1
 }
 
 func min3(a, b, c int) int {
